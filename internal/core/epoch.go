@@ -1,12 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Epoch-based reclamation for retired Vars, plus the per-engine reader
-// tables the privatization barrier drains (DESIGN.md §14).
+// Epoch-based reclamation for retired Vars (DESIGN.md §14).
 //
 // The lifecycle problem: Vars are shared by address, engines index orec
 // tables off Var ids, and doomed ("zombie") transactions may hold stale
@@ -17,17 +17,16 @@ import (
 //
 // The scheme is the classic three-bucket epoch design:
 //
-//   - a global epoch clock E (starting at 1 so that pin value 0 can mean
-//     "idle");
-//   - every transaction descriptor owns an EpochPin and pins the current
-//     epoch for the duration of each top-level Atomically (enter on the
-//     pooled-descriptor acquire, exit on release — the PR5 lifecycle hooks);
+//   - a global epoch clock E (starting at 1 so that word 0 can mean idle);
+//   - every transaction descriptor owns an announce word in its runtime's
+//     descriptor registry and pins the current epoch in it for the duration
+//     of each top-level Atomically (PinEpoch);
 //   - Retire(v) parks the cell on limbo bucket E%3;
-//   - the epoch may advance E -> E+1 once every registered pin is idle or
-//     pinned at E; at that moment bucket (E+2)%3 — the cells retired during
-//     epoch E-1, i.e. two full epochs ago — can no longer be referenced by
-//     any live descriptor and moves to the free list, where NewVar* recycles
-//     the cells id-intact.
+//   - the epoch may advance E -> E+1 once every word of every watched
+//     registry is idle or pinned at E; at that moment bucket (E+2)%3 — the
+//     cells retired during epoch E-1, i.e. two full epochs ago — can no
+//     longer be referenced by any live descriptor and moves to the free
+//     list, where NewVar* recycles the cells id-intact.
 //
 // Safety of the two-epoch rule: a cell retired during epoch r was unlinked
 // before Retire ran, so only descriptors already running at r (pinned <= r)
@@ -35,31 +34,30 @@ import (
 // advancing r+1 -> r+2 certifies every descriptor from epoch r has since
 // exited. The advance from E=r+1 frees bucket (E+2)%3 == r%3 — exactly those
 // cells.
-//
-// Enter uses pin-then-recheck: publish the pin, then confirm the clock did
-// not advance past the pinned value in between. Without the recheck a
-// descriptor could load E, stall, and publish the pin after an advance
-// already scanned the table — an unpinned window the reclaimer would miss.
 
-// epochClock is the global epoch. It starts at 1 (see init) so an EpochPin
-// value of 0 unambiguously means "descriptor idle".
+// epochClock is the global epoch. It starts at 1 (see init) so an epoch word
+// of 0 unambiguously means "descriptor idle".
 var epochClock atomic.Uint64
 
 func init() { epochClock.Store(1) }
+
+// AttemptBit is the low bit of a descriptor's epoch word: set while an
+// attempt runs, so engine switches and escalations can drain attempts over
+// the same words the reclaimer scans for epochs. The epoch sits above it.
+const AttemptBit = 1
 
 // epochAdvanceEvery is the amortization period of the automatic advance:
 // every N-th Retire attempts one epoch advance, so retire-heavy churn
 // reclaims itself without any caller-side pumping.
 const epochAdvanceEvery = 64
 
-// epochState is the mutex-guarded reclamation state. Pins are read
-// lock-free by the advance scan; everything else (pin registry, limbo
-// buckets, free list, counters) mutates under mu. The mutex is never taken
-// on a barrier path — only at descriptor registration, Retire, allocation
-// (free-list pop), and advance.
+// epochState is the mutex-guarded reclamation state; the advance scan reads
+// epoch words lock-free. The mutex is never taken on a barrier path — only
+// at runtime construction, Retire, allocation (free-list pop), and advance.
 var epochState struct {
-	mu    sync.Mutex
-	pins  []*EpochPin
+	mu sync.Mutex
+	// regs are the descriptor registries the advance scans.
+	regs  []*Registry
 	limbo [3][]*Var
 	free  []*Var
 	// freeLen mirrors len(free) so allocation can skip the lock when the
@@ -79,44 +77,38 @@ var epochState struct {
 	reclaimed uint64
 }
 
-// EpochPin is one descriptor's published epoch. 0 means idle; otherwise it
-// holds the epoch the descriptor entered under. Padded so the advance scan
-// does not false-share with neighbouring pins.
-type EpochPin struct {
-	pin atomic.Uint64
-	_   PadWord
-}
-
-// RegisterEpochPin allocates and registers a pin with the global reclaimer.
-// Called once per pooled transaction descriptor (warm-up only, never on a
-// barrier path). Pins are never unregistered: pooled descriptors live as
-// long as their runtime, and an idle pin (0) costs the advance scan one
-// atomic load.
-func RegisterEpochPin() *EpochPin {
-	p := &EpochPin{}
+// WatchEpochs makes the reclaimer scan r's words as epoch words until
+// UnwatchEpochs(r). A runtime watches its descriptor registry for life.
+func WatchEpochs(r *Registry) {
 	epochState.mu.Lock()
-	epochState.pins = append(epochState.pins, p)
+	epochState.regs = append(epochState.regs, r)
 	epochState.mu.Unlock()
-	return p
 }
 
-// Enter pins the current epoch for the duration of one top-level
-// transaction (all attempts included). Pin-then-recheck: the pin must be
-// visible before the epoch can be trusted, or a concurrent advance could
-// scan past this descriptor between the load and the store.
-func (p *EpochPin) Enter() {
-	for {
-		e := epochClock.Load()
-		p.pin.Store(e)
-		if epochClock.Load() == e {
-			return
-		}
+// UnwatchEpochs stops the reclaimer scanning r, whose words must be idle.
+func UnwatchEpochs(r *Registry) {
+	epochState.mu.Lock()
+	epochState.regs = slices.DeleteFunc(epochState.regs, func(x *Registry) bool { return x == r })
+	epochState.mu.Unlock()
+}
+
+// PinEpoch claims the idle word a for the current epoch, with bits in the
+// low bit, and returns the pinned epoch word without them. It reports false,
+// leaving the word alone, if a is not idle — so a descriptor free list can
+// claim a descriptor and announce its call in one CAS. Pin-then-recheck:
+// were the epoch not re-read after the word became visible, an advance
+// could scan past this descriptor between the load and the publication.
+func (a *Announce) PinEpoch(bits uint64) (uint64, bool) {
+	e := epochClock.Load()
+	if !a.v.CompareAndSwap(0, e<<1|bits) {
+		return 0, false
 	}
+	for epochClock.Load() != e {
+		e = epochClock.Load()
+		a.v.Store(e<<1 | bits)
+	}
+	return e << 1, true
 }
-
-// Exit releases the pin. The descriptor must not hold any *Var it obtained
-// transactionally past this point.
-func (p *EpochPin) Exit() { p.pin.Store(0) }
 
 // Retire parks v for epoch-deferred recycling. The caller asserts that v is
 // unreachable through every transactional structure — the contract
@@ -147,7 +139,7 @@ func Retire(v *Var) {
 
 // AdvanceEpoch attempts one epoch advance, reclaiming the expired limbo
 // bucket into the free list on success. It fails (returns false) while any
-// registered descriptor is still pinned to an older epoch. Exported as the
+// descriptor is still pinned to an older epoch. Exported as the
 // deterministic pump for tests and the -reclaimgate churn workload; regular
 // operation relies on the amortized advance inside Retire.
 func AdvanceEpoch() bool {
@@ -157,13 +149,15 @@ func AdvanceEpoch() bool {
 	return ok
 }
 
-// tryAdvanceLocked advances the epoch if every pin is idle or current, then
-// moves the two-epochs-old limbo bucket to the free list. Caller holds
-// epochState.mu, which serializes advances; pins are read lock-free.
+// tryAdvanceLocked advances the epoch if every watched epoch word is idle or
+// current, then moves the two-epochs-old limbo bucket to the free list.
+// Caller holds epochState.mu, which serializes advances; words are read
+// lock-free.
 func tryAdvanceLocked() bool {
 	e := epochClock.Load()
-	for _, p := range epochState.pins {
-		if v := p.pin.Load(); v != 0 && v != e {
+	current := func(v uint64) bool { return v == 0 || v>>1 == e }
+	for _, r := range epochState.regs {
+		if !r.Quiesced(current) {
 			return false
 		}
 	}
@@ -218,6 +212,8 @@ type EpochStats struct {
 	// Limbo is the number of cells parked across all three buckets; Free is
 	// the current free-list length.
 	Limbo, Free int
+	// Watched is the number of descriptor registries the advance scans.
+	Watched int
 }
 
 // ReadEpochStats snapshots the reclaimer's counters.
@@ -228,6 +224,7 @@ func ReadEpochStats() EpochStats {
 		Retired:   epochState.retired,
 		Reclaimed: epochState.reclaimed,
 		Free:      len(epochState.free),
+		Watched:   len(epochState.regs),
 	}
 	for i := range epochState.limbo {
 		s.Limbo += len(epochState.limbo[i])
@@ -243,95 +240,17 @@ func ReadEpochStats() EpochStats {
 func VarIDWatermark() uint64 { return varID.Load() }
 
 // ---------------------------------------------------------------------------
-// Reader tables: the per-engine quiescence surface of the privatization
-// barrier.
+// The privatization barrier.
 
-// ReaderSlot publishes one descriptor's active snapshot to privatizing
-// committers. The stored value is snapshot+1 (0 = idle) so that snapshot 0
-// — a valid initial seqlock/clock value — is distinguishable from "not
-// running". Engines pin at Start (pin-then-recheck against their clock) and
-// move the pin forward at every snapshot-extension point; forward movement
-// needs no recheck, because a reader revalidated at snapshot s' is, by the
-// engine's own opacity argument, no longer a zombie with respect to any
-// commit at or before s'.
-type ReaderSlot struct {
-	v atomic.Uint64
-	_ PadWord
-}
-
-// Pin publishes snapshot w as this reader's active snapshot.
-func (s *ReaderSlot) Pin(w uint64) { s.v.Store(w + 1) }
-
-// Clear marks the reader idle. Idempotent; called from every commit and
-// cleanup path.
-func (s *ReaderSlot) Clear() { s.v.Store(0) }
-
-// ReaderTable is the per-engine-instance registry of reader slots. Slots
-// are allocated once per descriptor bind (warm-up only) and never removed;
-// an idle slot costs Drain one atomic load.
-type ReaderTable struct {
-	mu    sync.Mutex
-	slots []*ReaderSlot
-}
-
-// NewSlot allocates and registers a reader slot.
-func (t *ReaderTable) NewSlot() *ReaderSlot {
-	s := &ReaderSlot{}
-	t.mu.Lock()
-	t.slots = append(t.slots, s)
-	t.mu.Unlock()
-	return s
-}
-
-// Drain blocks until every registered reader is idle or pinned at snapshot
-// >= w — the quiescence point after which no in-flight transaction can
-// still observe state predating the commit that linearized at w. The caller
-// must have cleared its own slot (every engine Commit does) or Drain
-// deadlocks on it.
-//
-// Progress: readers always leave the waited-for state — they commit, abort
-// (the engine's validation against the post-w clock dooms genuine zombies),
-// or extend their snapshot past w; each of those re-pins forward or clears.
-// The scan re-reads the slot list every round so late-registered slots are
-// seen, and waits adaptively between rounds.
-func (t *ReaderTable) Drain(w uint64) {
-	var waiter Waiter
-	for {
-		if t.quiesced(w) {
-			return
-		}
-		waiter.Wait()
-	}
-}
-
-func (t *ReaderTable) quiesced(w uint64) bool {
-	t.mu.Lock()
-	slots := t.slots
-	t.mu.Unlock()
-	for _, s := range slots {
-		if v := s.v.Load(); v != 0 && v-1 < w {
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
-// The privatizing commit variant.
-
-// Privatizer is the optional commit variant a TxImpl provides when its
-// engine supports privatization barriers. CommitPrivatize is Commit with
-// barrier semantics: after it returns normally, every concurrent
-// transaction that could have observed pre-commit state has finished or
-// revalidated past the commit, so the caller owns whatever the transaction
-// unlinked — plain Load/StoreNT, no instrumentation. It aborts exactly like
-// Commit (panic sentinel) and performs no drain in that case.
-//
-// PrivatizeBarrier is the drain alone, valid immediately after a successful
-// Commit/Publish on the same descriptor: the sharded runtime composes it
-// per participating shard so a cross-shard privatizing commit drains only
-// the engine instances it touched.
+// Privatizer is the privatization barrier a TxImpl provides when its engine
+// runs transactions concurrently (under mutual exclusion, SGL's commit is
+// its own barrier). PrivatizeBarrier is valid immediately after a
+// successful Commit/Publish on the same descriptor: when it returns, every
+// concurrent transaction that could have observed pre-commit state has
+// finished or revalidated past the commit, so the caller owns whatever the
+// transaction unlinked — plain Load/StoreNT, no instrumentation. It is a
+// Drain of the engine's snapshot words with SnapshotAtLeast; the sharded
+// runtime composes it per participating shard.
 type Privatizer interface {
-	CommitPrivatize()
 	PrivatizeBarrier()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -76,19 +77,30 @@ func TestDoubleRetirePanics(t *testing.T) {
 }
 
 // TestPinBlocksAdvance: a descriptor pinned to an older epoch must stall the
-// advance (and hence reclamation) until it exits.
+// advance (and hence reclamation) until it exits, whether or not its attempt
+// bit is set — and only while its registry is watched.
 func TestPinBlocksAdvance(t *testing.T) {
-	p := RegisterEpochPin()
-	p.Enter()
-	// The pin equals the current epoch, so one advance may still succeed —
-	// but afterwards the pin is one epoch behind and must block.
-	AdvanceEpoch()
-	if AdvanceEpoch() {
-		t.Fatal("advance succeeded past a pinned descriptor")
+	reg := new(Registry)
+	WatchEpochs(reg)
+	for _, bits := range []uint64{0, AttemptBit} {
+		p := reg.Register()
+		p.PinEpoch(bits)
+		// The pin equals the current epoch, so one advance may still succeed —
+		// but afterwards the pin is one epoch behind and must block.
+		AdvanceEpoch()
+		if AdvanceEpoch() {
+			t.Fatalf("bits %d: advance succeeded past a pinned descriptor", bits)
+		}
+		p.Clear()
+		if !AdvanceEpoch() {
+			t.Fatalf("bits %d: advance failed after the pin exited", bits)
+		}
 	}
-	p.Exit()
+	reg.Register().PinEpoch(0)
+	AdvanceEpoch()
+	UnwatchEpochs(reg)
 	if !AdvanceEpoch() {
-		t.Fatal("advance failed after the pin exited")
+		t.Fatal("an unwatched registry still blocks the epoch advance")
 	}
 }
 
@@ -125,20 +137,24 @@ func TestVarIDRecyclingBoundsWatermark(t *testing.T) {
 	}
 }
 
-// TestReaderTableDrain: Drain(w) must wait for slots pinned below w and
-// ignore idle slots and slots at or past w.
+// TestReaderTableDrain: a privatization drain to w must wait for snapshot
+// words pinned below w and ignore idle words and words at or past w.
 func TestReaderTableDrain(t *testing.T) {
-	var tab ReaderTable
-	doomed := tab.NewSlot()
-	fresh := tab.NewSlot()
-	_ = tab.NewSlot() // idle slot: never blocks
+	var tab Registry
+	var clock atomic.Uint64
+	doomed := tab.Register()
+	fresh := tab.Register()
+	_ = tab.Register() // idle word: never blocks
 
-	doomed.Pin(5) // snapshot 5 < w: must block Drain(6)
-	fresh.Pin(6)  // snapshot 6 >= w: must not block
+	doomed.PinSnapshot(&clock, 5) // snapshot 5 < w: must block the drain to 6
+	fresh.MoveSnapshot(6)         // snapshot 6 >= w: must not block
+	if tab.Quiesced(SnapshotAtLeast(6)) || !tab.Quiesced(SnapshotAtLeast(5)) {
+		t.Fatal("Quiesced disagrees with the pinned snapshots")
+	}
 
 	done := make(chan struct{})
 	go func() {
-		tab.Drain(6)
+		tab.Drain(SnapshotAtLeast(6))
 		close(done)
 	}()
 	select {

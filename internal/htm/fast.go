@@ -96,7 +96,7 @@ func (tx *HyTx) fastAdoptLimit(limit int) {
 		// Forward pin movement: every intervening commit was proved
 		// signature-disjoint from the reads so far, so this attempt is no
 		// zombie with respect to any commit at or before cur.
-		tx.slot.Pin(cur)
+		tx.slot.MoveSnapshot(cur)
 		return
 	}
 }

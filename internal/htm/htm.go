@@ -113,9 +113,9 @@ type Global struct {
 	sigs [sigSlots][1 + sigCap]atomic.Uint64
 
 	// readers is the privatization-barrier surface (DESIGN.md §14): each
-	// descriptor publishes its subscribed snapshot in a slot here, and a
-	// privatizing committer drains the table to its release timestamp.
-	readers core.ReaderTable
+	// descriptor publishes its subscribed snapshot in a word here, and a
+	// privatizing committer drains the words to its release timestamp.
+	readers core.Registry
 
 	// privatizing counts in-flight privatizing commits. While non-zero the
 	// progressive engine demotes new fast-path attempts to the instrumented
@@ -188,8 +188,8 @@ type Tx struct {
 	exprs       *core.ExprSet
 	writes      *core.WriteSet
 	waiter      core.Waiter
-	slot        *core.ReaderSlot // published snapshot (privatization)
-	lastW       uint64           // release timestamp of the last commit
+	slot        *core.Announce // published snapshot (privatization)
+	lastW       uint64         // release timestamp of the last commit
 	hwFailures  int
 	irrevocable bool
 	stats       core.TxStats
@@ -207,7 +207,7 @@ func NewTx(g *Global, semantic bool, seed int64) *Tx {
 		reads:        core.NewSemSet(),
 		exprs:        core.NewExprSet(),
 		writes:       core.NewWriteSet(),
-		slot:         g.readers.NewSlot(),
+		slot:         g.readers.Register(),
 	}
 }
 
@@ -240,23 +240,8 @@ func (tx *Tx) Start() {
 	}
 	tx.irrevocable = false
 	tx.inject(core.SiteStart)
-	tx.waiter.Reset()
-	for {
-		s := tx.g.seq.Load()
-		if s&1 == 0 {
-			// Pin-then-recheck (DESIGN.md §14): the pin must be visible
-			// before the snapshot can be trusted, or a privatizing committer
-			// could drain between the load and the pin publication.
-			tx.slot.Pin(s)
-			if tx.g.seq.Load() == s {
-				tx.snapshot = s
-				return
-			}
-			continue
-		}
-		tx.waiter.Wait() // subscribe: wait out fallback transactions
-		tx.stats.SpinWaits++
-	}
+	// Subscribe: wait out fallback transactions.
+	tx.snapshot = tx.slot.PinSeqlock(&tx.g.seq, &tx.waiter, &tx.stats.SpinWaits)
 }
 
 // SetFaultPlan arms or disarms deterministic fault injection.
@@ -309,7 +294,7 @@ func (tx *Tx) validate() uint64 {
 		if time == tx.g.seq.Load() {
 			// Forward pin movement: validated at time, so no longer a zombie
 			// with respect to any commit at or before it.
-			tx.slot.Pin(time)
+			tx.slot.MoveSnapshot(time)
 			return time
 		}
 	}
@@ -558,28 +543,21 @@ func (tx *Tx) Commit() {
 	tx.slot.Clear()
 }
 
-// CommitPrivatize is Commit with privatization-barrier semantics
-// (core.Privatizer): the commit is bracketed by the privatizing counter so
-// the progressive engine's uninstrumented fast path sits out the window, and
-// after linearization every reader subscribed to a pre-commit snapshot is
-// waited out. An abort unwinds like Commit and performs no drain.
-func (tx *Tx) CommitPrivatize() {
-	tx.g.privatizing.Add(1)
-	defer tx.g.privatizing.Add(-1)
-	tx.Commit()
-	tx.g.readers.Drain(tx.lastW)
-}
+// PrivatizeBarrier implements core.Privatizer (Global.privatize).
+func (tx *Tx) PrivatizeBarrier() { tx.g.privatize(tx.lastW) }
 
-// PrivatizeBarrier re-runs the drain of the last successful Commit.
-func (tx *Tx) PrivatizeBarrier() {
-	tx.g.privatizing.Add(1)
-	defer tx.g.privatizing.Add(-1)
-	tx.g.readers.Drain(tx.lastW)
+// privatize waits out every reader subscribed to a snapshot before w, with
+// the privatizing counter raised so the progressive engine's uninstrumented
+// fast path sits out the window.
+func (g *Global) privatize(w uint64) {
+	g.privatizing.Add(1)
+	defer g.privatizing.Add(-1)
+	g.readers.Drain(core.SnapshotAtLeast(w))
 }
 
 // Cleanup releases the fallback lock if an irrevocable attempt unwound via a
 // user panic (irrevocable attempts never abort on their own), and
-// un-publishes the reader slot.
+// un-publishes the snapshot word.
 func (tx *Tx) Cleanup() {
 	if tx.irrevocable {
 		tx.g.seq.Add(1)

@@ -120,8 +120,8 @@ type HyTx struct {
 	lastFast  *core.Var        // fast path's last first-touch (repeat-probe dedup)
 	rsig      [sigWords]uint64 // fast path's read signature (fast.go)
 	waiter    core.Waiter
-	slot      *core.ReaderSlot // published snapshot (privatization)
-	lastW     uint64           // release timestamp of the last commit
+	slot      *core.Announce // published snapshot (privatization)
+	lastW     uint64         // release timestamp of the last commit
 
 	irrevocable bool
 	locked      bool // two-phase Prepare..Publish window (sharded commits)
@@ -143,7 +143,7 @@ func NewHyTx(g *Global, noFast bool, seed int64) *HyTx {
 		reads:         core.NewSemSet(),
 		exprs:         core.NewExprSet(),
 		writes:        core.NewWriteSet(),
-		slot:          g.readers.NewSlot(),
+		slot:          g.readers.Register(),
 	}
 	tx.NewEpoch()
 	return tx
@@ -215,23 +215,8 @@ func (tx *HyTx) Start() {
 	}
 	tx.irrevocable = false
 	tx.inject(core.SiteStart)
-	tx.waiter.Reset()
-	for {
-		s := tx.g.seq.Load()
-		if s&1 == 0 {
-			// Pin-then-recheck (DESIGN.md §14): the pin must be visible
-			// before the snapshot can be trusted, or a privatizing committer
-			// could drain between the load and the pin publication.
-			tx.slot.Pin(s)
-			if tx.g.seq.Load() == s {
-				tx.snapshot = s
-				return
-			}
-			continue
-		}
-		tx.waiter.Wait() // subscribe: wait out fallback transactions
-		tx.stats.SpinWaits++
-	}
+	// Subscribe: wait out fallback transactions.
+	tx.snapshot = tx.slot.PinSeqlock(&tx.g.seq, &tx.waiter, &tx.stats.SpinWaits)
 }
 
 // SetFaultPlan arms or disarms deterministic fault injection.
@@ -472,24 +457,8 @@ func (tx *HyTx) Cleanup() {
 	tx.slot.Clear()
 }
 
-// CommitPrivatize is Commit with privatization-barrier semantics
-// (core.Privatizer): the commit is bracketed by the privatizing counter —
-// demoting new fast-path attempts to the instrumented middle path for the
-// window — and after linearization every reader subscribed to a pre-commit
-// snapshot is waited out. An abort unwinds like Commit and performs no drain.
-func (tx *HyTx) CommitPrivatize() {
-	tx.g.privatizing.Add(1)
-	defer tx.g.privatizing.Add(-1)
-	tx.Commit()
-	tx.g.readers.Drain(tx.lastW)
-}
-
-// PrivatizeBarrier re-runs the drain of the last successful Commit/Publish.
-func (tx *HyTx) PrivatizeBarrier() {
-	tx.g.privatizing.Add(1)
-	defer tx.g.privatizing.Add(-1)
-	tx.g.readers.Drain(tx.lastW)
-}
+// PrivatizeBarrier implements core.Privatizer (Global.privatize).
+func (tx *HyTx) PrivatizeBarrier() { tx.g.privatize(tx.lastW) }
 
 // AttemptStats exposes the per-attempt operation counters.
 func (tx *HyTx) AttemptStats() *core.TxStats { return &tx.stats }

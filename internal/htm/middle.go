@@ -65,7 +65,7 @@ func (tx *HyTx) validateLimit(limit int) uint64 {
 		if time == tx.g.seq.Load() {
 			// Forward pin movement: validated at time, so no longer a zombie
 			// with respect to any commit at or before it.
-			tx.slot.Pin(time)
+			tx.slot.MoveSnapshot(time)
 			return time
 		}
 	}

@@ -30,9 +30,9 @@ type Global struct {
 	seq atomic.Uint64
 	_   core.PadWord
 	// readers is the privatization-barrier surface (DESIGN.md §14): every
-	// descriptor publishes its active snapshot in a slot here, and a
-	// privatizing committer drains the table to its commit timestamp.
-	readers core.ReaderTable
+	// descriptor publishes its active snapshot in a word here, and a
+	// privatizing committer drains the words to its commit timestamp.
+	readers core.Registry
 }
 
 // NewGlobal returns a fresh, unlocked global sequence lock.
@@ -85,7 +85,7 @@ type Tx struct {
 	// slot publishes the active snapshot to privatizing committers; lastW is
 	// the quiescence timestamp of the last successful commit — the sequence
 	// value from which PrivatizeBarrier drains.
-	slot  *core.ReaderSlot
+	slot  *core.Announce
 	lastW uint64
 }
 
@@ -99,7 +99,7 @@ func NewTx(g *Global, semantic bool) *Tx {
 		reads:    core.NewSemSet(),
 		exprs:    core.NewExprSet(),
 		writes:   core.NewWriteSet(),
-		slot:     g.readers.NewSlot(),
+		slot:     g.readers.Register(),
 	}
 }
 
@@ -114,27 +114,10 @@ func (tx *Tx) Start() {
 	if tx.fp != nil {
 		tx.fp.Step(core.SiteStart)
 	}
-	tx.waiter.Reset()
-	for {
-		s := tx.g.seq.Load()
-		if s&1 == 0 {
-			// Pin-then-recheck: the reader slot must be visible before the
-			// snapshot can be trusted, or a privatizing committer could scan
-			// the table between our load and the pin and miss this reader.
-			tx.slot.Pin(s)
-			if tx.g.seq.Load() == s {
-				tx.snapshot = s
-				// The empty read-set is trivially valid here, so the watermark
-				// starts at the snapshot rather than carrying a value from the
-				// previous attempt.
-				tx.valSeq = s
-				return
-			}
-			continue
-		}
-		tx.waiter.Wait()
-		tx.stats.SpinWaits++
-	}
+	tx.snapshot = tx.slot.PinSeqlock(&tx.g.seq, &tx.waiter, &tx.stats.SpinWaits)
+	// The empty read-set is trivially valid here, so the watermark starts at
+	// the snapshot rather than carrying a value from the previous attempt.
+	tx.valSeq = tx.snapshot
 }
 
 // SetFaultPlan arms or disarms deterministic fault injection.
@@ -171,7 +154,7 @@ func (tx *Tx) validateLimit(limit int) uint64 {
 			// Nothing committed since the last full walk: every entry —
 			// including ones appended after that walk, each read at a stable
 			// sequence equal to the watermark — is known valid at this time.
-			tx.slot.Pin(time)
+			tx.slot.MoveSnapshot(time)
 			return time
 		}
 		if tx.fp != nil && tx.fp.ValidationFail() {
@@ -189,7 +172,7 @@ func (tx *Tx) validateLimit(limit int) uint64 {
 			tx.valSeq = time
 			// Forward pin movement needs no recheck: a read-set just proven
 			// valid at time is no zombie with respect to any commit <= time.
-			tx.slot.Pin(time)
+			tx.slot.MoveSnapshot(time)
 			return time
 		}
 	}
@@ -439,21 +422,11 @@ func (tx *Tx) Commit() {
 	tx.slot.Clear()
 }
 
-// CommitPrivatize is Commit with privatization-barrier semantics: after the
-// write-back is published it drains the reader table to the commit
-// timestamp, waiting out every in-flight transaction whose snapshot
-// predates it (the doomed zombies of the privatization literature). On
-// return the caller owns whatever the transaction unlinked. Aborts exactly
-// like Commit, in which case no drain runs.
-func (tx *Tx) CommitPrivatize() {
-	tx.Commit()
-	tx.g.readers.Drain(tx.lastW)
-}
-
-// PrivatizeBarrier is the drain alone, valid after a successful
-// Commit/Publish on this descriptor; the sharded runtime composes it per
-// touched shard.
-func (tx *Tx) PrivatizeBarrier() { tx.g.readers.Drain(tx.lastW) }
+// PrivatizeBarrier implements core.Privatizer: it drains the snapshot words
+// to the last commit's timestamp, waiting out every in-flight transaction
+// whose snapshot predates it (the doomed zombies of the privatization
+// literature).
+func (tx *Tx) PrivatizeBarrier() { tx.g.readers.Drain(core.SnapshotAtLeast(tx.lastW)) }
 
 // Prepare acquires the sequence lock for a two-phase (cross-shard) commit —
 // the same CAS-from-snapshot loop as Commit, but with bounded waiting inside

@@ -12,6 +12,8 @@
 // their read signature with the entries that appeared since their snapshot.
 package ringstm
 
+import "sync/atomic"
+
 // filterWords gives a 1024-bit signature.
 const filterWords = 16
 
@@ -33,17 +35,6 @@ func (f *filter) add(id uint64) {
 	f[b2>>6] |= 1 << (b2 & 63)
 }
 
-// intersects reports whether the signatures may share an element (Bloom
-// semantics: false positives possible, false negatives impossible).
-func (f *filter) intersects(o *filter) bool {
-	for i := range f {
-		if f[i]&o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // reset clears the signature.
 func (f *filter) reset() {
 	*f = filter{}
@@ -57,4 +48,30 @@ func (f *filter) empty() bool {
 		}
 	}
 	return true
+}
+
+// signature is a filter as a ring entry publishes it. Validators read it
+// while a writer reusing the entry may rewrite it — the entry's ts/status
+// recheck rejects what they read then — so its words are atomic.
+type signature [filterWords]atomic.Uint64
+
+// store publishes f, writing only the words that change.
+func (p *signature) store(f *filter) {
+	for i, w := range f {
+		if p[i].Load() != w {
+			p[i].Store(w)
+		}
+	}
+}
+
+// intersects reports whether f and the published signature may share an
+// element (Bloom semantics: false positives possible, false negatives
+// impossible).
+func (p *signature) intersects(f *filter) bool {
+	for i, w := range f {
+		if w != 0 && w&p[i].Load() != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -26,7 +26,7 @@ const (
 type entry struct {
 	ts     atomic.Uint64
 	status atomic.Uint32
-	wf     filter
+	wf     signature
 }
 
 // Global is the state shared by all transactions of one RingSTM runtime.
@@ -39,9 +39,9 @@ type Global struct {
 	_    core.PadWord
 	ring [ringSize]entry
 	// readers is the privatization-barrier surface (DESIGN.md §14): each
-	// descriptor publishes its consistent point in a slot here, and a
-	// privatizing committer drains the table to its commit timestamp.
-	readers core.ReaderTable
+	// descriptor publishes its consistent point in a word here, and a
+	// privatizing committer drains the words to its commit timestamp.
+	readers core.Registry
 }
 
 // NewGlobal returns a fresh ring with no commits.
@@ -76,9 +76,9 @@ type Tx struct {
 	exprs    *core.ExprSet // expression facts (extension)
 	writes   *core.WriteSet
 	waiter   core.Waiter
-	slot     *core.ReaderSlot // published consistent point (privatization)
-	lastW    uint64           // timestamp of the last commit (drain bound)
-	fp       *core.FaultPlan  // nil unless fault injection is armed
+	slot     *core.Announce  // published consistent point (privatization)
+	lastW    uint64          // timestamp of the last commit (drain bound)
+	fp       *core.FaultPlan // nil unless fault injection is armed
 	stats    core.TxStats
 }
 
@@ -90,7 +90,7 @@ func NewTx(g *Global, semantic bool) *Tx {
 		reads:    core.NewSemSet(),
 		exprs:    core.NewExprSet(),
 		writes:   core.NewWriteSet(),
-		slot:     g.readers.NewSlot(),
+		slot:     g.readers.Register(),
 	}
 }
 
@@ -119,8 +119,7 @@ func (tx *Tx) Start() {
 		// Pin-then-recheck: the pin must be visible before the snapshot can
 		// be trusted, or a privatizing committer could drain between the head
 		// load and the pin publication (DESIGN.md §14).
-		tx.slot.Pin(h)
-		if tx.g.head.Load() == h {
+		if tx.slot.PinSnapshot(&tx.g.head, h) {
 			tx.start = h
 			return
 		}
@@ -208,7 +207,7 @@ func (tx *Tx) validateTo() uint64 {
 		// Forward pin movement: a reader validated up to h is no longer a
 		// zombie with respect to any commit at or before h, so a privatizer
 		// draining to w <= h may stop waiting on it. No recheck needed.
-		tx.slot.Pin(h)
+		tx.slot.MoveSnapshot(h)
 	}
 }
 
@@ -441,7 +440,7 @@ func (tx *Tx) Commit() {
 		}
 		slot := &tx.g.ring[(h+1)%ringSize]
 		slot.status.Store(statusWriting)
-		slot.wf = tx.wf
+		slot.wf.store(&tx.wf)
 		slot.ts.Store(h + 1) // publish: readers may now see the filter
 		if tx.fp != nil {
 			tx.fp.CommitDelay() // stretch the publish-to-complete window
@@ -460,19 +459,11 @@ func (tx *Tx) Commit() {
 	}
 }
 
-// CommitPrivatize is Commit with privatization-barrier semantics
-// (core.Privatizer): after the commit's write-back completes, drain every
-// reader still consistent with a pre-commit head. An abort unwinds like
-// Commit and performs no drain.
-func (tx *Tx) CommitPrivatize() {
-	tx.Commit()
-	tx.g.readers.Drain(tx.lastW)
-}
+// PrivatizeBarrier implements core.Privatizer: it drains every reader still
+// consistent with a head before the last commit.
+func (tx *Tx) PrivatizeBarrier() { tx.g.readers.Drain(core.SnapshotAtLeast(tx.lastW)) }
 
-// PrivatizeBarrier re-runs the drain of the last successful Commit.
-func (tx *Tx) PrivatizeBarrier() { tx.g.readers.Drain(tx.lastW) }
-
-// Cleanup has no locks to release: RingSTM only un-publishes the reader slot.
+// Cleanup has no locks to release: RingSTM only un-publishes the snapshot word.
 func (tx *Tx) Cleanup() { tx.slot.Clear() }
 
 // AttemptStats exposes the per-attempt operation counters.

@@ -17,11 +17,14 @@ func TestFilterBasics(t *testing.T) {
 	if f.empty() {
 		t.Fatal("filter empty after add")
 	}
-	if f.intersects(&g) {
+	var pub signature
+	pub.store(&g)
+	if pub.intersects(&f) {
 		t.Fatal("intersection with empty filter")
 	}
 	g.add(42)
-	if !f.intersects(&g) {
+	pub.store(&g)
+	if !pub.intersects(&f) {
 		t.Fatal("same element must intersect (no false negatives)")
 	}
 	f.reset()
@@ -36,10 +39,12 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 	for _, id := range ids {
 		f.add(id)
 	}
+	var pub signature
+	pub.store(&f)
 	for _, id := range ids {
 		var single filter
 		single.add(id)
-		if !f.intersects(&single) {
+		if !pub.intersects(&single) {
 			t.Fatalf("id %d lost", id)
 		}
 	}

@@ -117,14 +117,6 @@ func (tx *Tx) Commit() {
 	tx.g.mu.Unlock()
 }
 
-// CommitPrivatize implements core.Privatizer. Mutual exclusion makes the
-// commit its own privatization barrier: no transaction runs concurrently, so
-// there are no doomed readers to wait out.
-func (tx *Tx) CommitPrivatize() { tx.Commit() }
-
-// PrivatizeBarrier is a no-op under mutual exclusion.
-func (tx *Tx) PrivatizeBarrier() {}
-
 // Cleanup releases the lock after a user-initiated restart. SGL itself never
 // aborts, but user code may call Restart inside an atomic block.
 func (tx *Tx) Cleanup() { tx.g.mu.Unlock() }

@@ -680,19 +680,10 @@ func (tx *Tx) logCrossFrames(order []int) {
 	}
 }
 
-// CommitPrivatize implements core.Privatizer: the usual commit (single-shard
-// fast path or two-phase cross-shard protocol) followed by a scoped drain.
-// An abort unwinds like Commit and performs no drain.
-func (tx *Tx) CommitPrivatize() {
-	tx.Commit()
-	tx.PrivatizeBarrier()
-}
-
-// PrivatizeBarrier drains the reader tables of exactly the engine instances
-// this transaction touched (DESIGN.md §14) — untouched shards have, by
-// construction, no reader that could hold a pointer this commit unlinked
-// from *their* metadata, and their traffic never stalls. Valid immediately
-// after a successful Commit on the same descriptor.
+// PrivatizeBarrier implements core.Privatizer by draining exactly the engine
+// instances this transaction touched (DESIGN.md §14) — untouched shards
+// have, by construction, no reader that could hold a pointer this commit
+// unlinked from *their* metadata, and their traffic never stalls.
 func (tx *Tx) PrivatizeBarrier() {
 	for _, s := range tx.touched {
 		if p, ok := tx.impls[s].(core.Privatizer); ok {

@@ -17,6 +17,10 @@ func (e engine) NewTx(cfg core.TxConfig) core.TxImpl {
 
 func (e engine) Quiescent() error { return e.g.Quiescent() }
 
+// ReaderWords reports how many snapshot words descriptors have registered
+// with this engine instance — the probe of the registry-bound tests.
+func (e engine) ReaderWords() int { return e.g.readers.Len() }
+
 // ClockValue exposes the engine instance's version clock — the per-shard
 // "clock" probe sharded runtimes use to assert that single-shard
 // transactions never move another shard's commit metadata.

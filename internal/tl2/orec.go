@@ -56,9 +56,9 @@ type Global struct {
 	_     core.PadWord
 	orecs [1 << orecBits]orec
 	// readers is the privatization-barrier surface (DESIGN.md §14): each
-	// descriptor publishes its start version in a slot here, and a
-	// privatizing committer drains the table to its write version.
-	readers core.ReaderTable
+	// descriptor publishes its start version in a word here, and a
+	// privatizing committer drains the words to its write version.
+	readers core.Registry
 }
 
 // NewGlobal returns a fresh runtime state with the clock at zero.

@@ -34,7 +34,7 @@ type Tx struct {
 	// slot publishes the start version to privatizing committers; lastW is
 	// the write version of the last successful commit — the quiescence
 	// point PrivatizeBarrier drains to.
-	slot  *core.ReaderSlot
+	slot  *core.Announce
 	lastW uint64
 }
 
@@ -51,7 +51,7 @@ func NewTx(g *Global, semantic bool) *Tx {
 		reads:    make([]*orec, 0, readSetMinCap),
 		compares: core.NewSemSet(),
 		writes:   core.NewWriteSet(),
-		slot:     g.readers.NewSlot(),
+		slot:     g.readers.Register(),
 	}
 }
 
@@ -80,9 +80,9 @@ func (tx *Tx) Start() {
 	}
 	tx.stats.Reset()
 	tx.id = tx.g.txid.Add(1)
-	// Pin-then-recheck: publish the reader slot before trusting the start
+	// Pin-then-recheck: publish the snapshot word before trusting the start
 	// version. Without the recheck a privatizing committer could advance the
-	// clock and scan the reader table between our clock load and the pin —
+	// clock and scan the reader registry between our clock load and the pin —
 	// and a TL2 zombie that captured a pre-unlink pointer is invisible to
 	// orec validation when it dereferences into cells the privatizer never
 	// wrote. A failed recheck re-pins at the newer clock value; the window
@@ -90,8 +90,7 @@ func (tx *Tx) Start() {
 	// commit to land inside it every time.
 	for {
 		s := tx.g.clock.Load()
-		tx.slot.Pin(s)
-		if tx.g.clock.Load() == s {
+		if tx.slot.PinSnapshot(&tx.g.clock, s) {
 			tx.startVersion = s
 			break
 		}
@@ -218,7 +217,7 @@ func (tx *Tx) cmpPhase1(v *core.Var, o *orec, op core.Op, operand int64) bool {
 				tx.startVersion = time // line 25: extend start version
 				// Forward pin movement (no recheck needed: we stayed pinned
 				// at the old version throughout the extension).
-				tx.slot.Pin(time)
+				tx.slot.MoveSnapshot(time)
 				break
 			}
 			// line 23: a concurrent commit moved the clock; retry.
@@ -313,7 +312,7 @@ func (tx *Tx) cmpVarsPhase1(a, b *core.Var, oa, ob *orec, op core.Op) bool {
 			tx.validateCompareSet()
 			if time == tx.g.clock.Load() {
 				tx.startVersion = time
-				tx.slot.Pin(time) // forward pin movement, as in cmpPhase1
+				tx.slot.MoveSnapshot(time) // forward pin movement, as in cmpPhase1
 				break
 			}
 		}
@@ -561,7 +560,7 @@ func (tx *Tx) Commit() {
 }
 
 // finishCommit records the quiescence point of a successful commit and
-// retires the reader slot. Any reader pinned at or past wv loaded the clock
+// retires the snapshot word. Any reader pinned at or past wv loaded the clock
 // after this transaction's orecs were locked (lock first, then tick), so it
 // cannot have captured pre-write-back state.
 func (tx *Tx) finishCommit(wv uint64) {
@@ -569,21 +568,12 @@ func (tx *Tx) finishCommit(wv uint64) {
 	tx.slot.Clear()
 }
 
-// CommitPrivatize is Commit with privatization-barrier semantics (the
-// TL2 orec-version fence): after write-back it drains the reader table to
-// the write version, waiting out every transaction whose start version
-// predates the commit — including zombies whose captured pointers lead to
-// cells this commit never wrote, which orec validation alone would never
-// catch. Aborts exactly like Commit, in which case no drain runs.
-func (tx *Tx) CommitPrivatize() {
-	tx.Commit()
-	tx.g.readers.Drain(tx.lastW)
-}
-
-// PrivatizeBarrier is the drain alone, valid after a successful
-// Commit/Publish on this descriptor; the sharded runtime composes it per
-// touched shard.
-func (tx *Tx) PrivatizeBarrier() { tx.g.readers.Drain(tx.lastW) }
+// PrivatizeBarrier implements core.Privatizer (the TL2 orec-version fence):
+// it drains the snapshot words to the last commit's write version, waiting
+// out every transaction whose start version predates the commit — including
+// zombies whose captured pointers lead to cells this commit never wrote,
+// which orec validation alone would never catch.
+func (tx *Tx) PrivatizeBarrier() { tx.g.readers.Drain(core.SnapshotAtLeast(tx.lastW)) }
 
 // writeBack applies the write-set and releases every held orec at the new
 // version wv. Increments read memory here, under the orec lock, which is the

@@ -56,6 +56,9 @@
 #      must run >= 3x faster through the per-shard batcher than per-request
 #      — the PR10 acceptance bar defending request coalescing actually
 #      amortizing the commit + WAL-fsync path.
+#  14. the repo benchmark's own tests: perfbench/ is a separate Go module
+#      (outside `go test ./...`), so its correctness checks run here
+#      explicitly (~6s).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -127,5 +130,8 @@ go run ./cmd/semstm-bench -reclaimgate -dur 200ms -reps 1
 
 echo "== commit-coalescing gate (batched >= 3x unbatched on durable counter loadgen) =="
 go run ./cmd/semstm-bench -servegate -dur 300ms -reps 2
+
+echo "== repo benchmark tests (perfbench module) =="
+(cd perfbench && go test -count=1 .)
 
 echo "== ok =="

@@ -6,9 +6,9 @@
 // window into a contention estimate and walks a configured engine ladder —
 // escalating toward pessimistic concurrency control when contention aborts
 // dominate, de-escalating back when they vanish. The switch itself reuses
-// the escalator of the irrevocable mode, extended with a real drain: raise
-// the gate (new attempts park), wait until every in-flight attempt has
-// committed or aborted, flip the published engine slot, drop the gate.
+// the escalator of the irrevocable mode: raise the gate (new attempts park),
+// drain the descriptor registry until every in-flight attempt has committed
+// or aborted, flip the published engine slot, drop the gate.
 // Because no attempt of the old engine overlaps any attempt of the new one,
 // each engine still only ever synchronizes with itself, and opacity is
 // inherited from whichever engine is current — the argument DESIGN.md §9
@@ -17,7 +17,6 @@ package stm
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"semstm/internal/core"
@@ -165,10 +164,11 @@ func (rt *Runtime) AdaptiveConfig() AdaptiveConfig {
 }
 
 // noteAttempt is the per-attempt policy hook of adaptive runtimes, called by
-// the retry engine after each non-escalated attempt (with the descriptor's
-// active flag already cleared, so an evaluation that drains never waits on
-// its own caller). It only counts until the descriptor's epoch boundary.
-func (rt *Runtime) noteAttempt(tx *Tx) {
+// the retry engine after each non-escalated attempt. It only counts until the
+// descriptor's epoch boundary; there it withdraws the attempt bit (pinned is
+// the bare epoch word), so an evaluation that drains never waits on its own
+// caller.
+func (rt *Runtime) noteAttempt(tx *Tx, pinned uint64) {
 	epoch := rt.adapt.cfg.Epoch
 	if epoch <= 0 {
 		return
@@ -178,6 +178,7 @@ func (rt *Runtime) noteAttempt(tx *Tx) {
 		return
 	}
 	tx.sinceAdapt = 0
+	tx.word.Store(pinned)
 	rt.maybeAdapt()
 }
 
@@ -297,66 +298,23 @@ func (rt *Runtime) SwitchEngine(target Algorithm) error {
 // switchTo performs the quiescent engine transition. It serializes against
 // irrevocable escalations and other switches through the escalator mutex
 // (TryLock on the policy path — a switch that loses to an escalation is
-// simply retried at a later epoch), then raises the gate so no new attempt
-// starts, drains the in-flight attempts, publishes the new slot, and drops
-// the gate. It reports whether the transition ran.
+// simply retried at a later epoch), then quiesces the runtime — gate raised,
+// in-flight attempts drained — publishes the new slot, and drops the gate.
+// It reports whether the transition ran.
 func (rt *Runtime) switchTo(target Algorithm, block bool) bool {
 	if block {
 		rt.esc.mu.Lock()
 	} else if !rt.esc.mu.TryLock() {
 		return false
 	}
-	defer rt.esc.mu.Unlock()
+	defer rt.esc.release()
 	if rt.cur.Load().algo == target {
 		return true // already there (raced with SwitchEngine)
 	}
-	rt.esc.gate.Store(1)
-	defer rt.esc.gate.Store(0)
-	rt.drainAttempts()
+	rt.esc.quiesce(rt.descs)
 	rt.cur.Store(&engineSlot{algo: target, eng: rt.engineFor(target)})
 	rt.stats.CountEngineSwitch()
 	return true
-}
-
-// drainAttempts waits until no attempt is executing. Called with the gate
-// raised, so the in-flight set is finite and strictly shrinking: an attempt
-// either entered before the gate (its active flag is up and will drop at
-// commit/abort) or it parks at the gate and never raises the flag.
-func (rt *Runtime) drainAttempts() {
-	rt.descMu.Lock()
-	descs := make([]*Tx, len(rt.descs))
-	copy(descs, rt.descs)
-	rt.descMu.Unlock()
-	for _, tx := range descs {
-		for tx.active.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// enterAttempt is the attempt-side half of the switch protocol, run before
-// every non-escalated attempt of an adaptive runtime: bind to the current
-// engine, raise the active flag, then re-check that no switch is pending or
-// has completed (the flag-then-check order pairs with the switcher's
-// gate-then-drain order — seq-cst atomics make at least one side see the
-// other, so no attempt of a superseded engine slips past a drain). It
-// reports false only when done fires while parked at the gate.
-func (rt *Runtime) enterAttempt(tx *Tx, done <-chan struct{}) bool {
-	for {
-		if slot := rt.cur.Load(); tx.slot != slot {
-			tx.rebind(slot)
-		}
-		tx.active.Store(1)
-		if rt.esc.gate.Load() == 0 && rt.cur.Load() == tx.slot {
-			return true
-		}
-		// A switch (or an escalation) is pending or just completed: back
-		// out, park until the gate drops, and re-bind.
-		tx.active.Store(0)
-		if !rt.esc.wait(done) {
-			return false
-		}
-	}
 }
 
 func init() {

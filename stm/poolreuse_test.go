@@ -1,9 +1,9 @@
 package stm_test
 
 // Descriptor-pool reuse fuzz: the zero-allocation lifecycle recycles fully
-// built descriptors through a sync.Pool, so the isolation between two
-// logically distinct transactions now depends on Reset discipline instead of
-// fresh memory. This test hammers that discipline under -race (the package is
+// built descriptors through the runtime's free list, so the isolation
+// between two logically distinct transactions now depends on Reset
+// discipline instead of fresh memory. This test hammers that discipline under -race (the package is
 // in check.sh's RACE_PKGS): concurrent workers mix all three entry points,
 // force explicit aborts, cancel contexts, and run under fault injection and a
 // low escalation threshold, while a chaos goroutine switches the Adaptive
@@ -17,9 +17,9 @@ package stm_test
 //   - a stale abort-reason log (or the release-time poison sentinel, which
 //     stringifies as "invalid") surfaces in a later call's AbortError →
 //     the reason-validity assertion fails;
-//   - a descriptor released with its adaptive active flag still raised
-//     panics in releaseTx, and one leaked raised flag deadlocks the next
-//     engine switch's drain → the test hangs instead of passing;
+//   - one attempt bit left raised on a descriptor's announce word
+//     deadlocks the next engine switch's drain → the test hangs instead of
+//     passing;
 //   - engine metadata left locked by a recycled descriptor → CheckQuiescent
 //     fails after the run.
 

@@ -8,10 +8,9 @@
 //
 // The lifecycle this file exposes closes both halves of that race:
 //
-//   - AtomicallyPrivatize commits through the engine's privatizing commit
-//     variant (core.Privatizer): after the commit linearizes, the committer
-//     waits until every concurrent transaction has finished or revalidated
-//     past it. When the call returns, the caller owns whatever the
+//   - AtomicallyPrivatize follows the commit with the engine's
+//     privatization barrier (core.Privatizer): the committer waits until
+//     every concurrent transaction has finished or revalidated past it. When the call returns, the caller owns whatever the
 //     transaction unlinked — plain Var.Load/StoreNT access, no
 //     instrumentation, no torn values.
 //   - Retire parks a privatized Var on the epoch-based reclamation limbo
@@ -38,9 +37,9 @@ import "semstm/internal/core"
 // exactly like Atomically (no barrier is paid until an attempt commits).
 //
 // The barrier drains only the engine instances the transaction touched — on
-// a sharded runtime, untouched shards never stall — and costs one reader-table
-// scan plus however long in-flight doomed readers take to abort, commit, or
-// revalidate. Use Atomically for ordinary transactions; reserve this variant
+// a sharded runtime, untouched shards never stall — and costs one scan of
+// their snapshot words plus however long in-flight doomed readers take to
+// abort, commit, or revalidate. Use Atomically for ordinary transactions; reserve this variant
 // for structural unlinks whose results will be accessed uninstrumented or
 // handed to Retire.
 func (rt *Runtime) AtomicallyPrivatize(fn func(tx *Tx)) {

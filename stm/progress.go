@@ -15,7 +15,7 @@
 //   - after EscalateAfter consecutive aborts, Atomically-family calls
 //     escalate to an irrevocable serializing mode: the transaction takes a
 //     serialization token that blocks all new attempts (the software
-//     analogue of the HTM backend's single-global-lock fallback), outlasts
+//     analogue of the HTM backend's single-global-lock fallback), drains
 //     the finite in-flight attempts, and then runs alone, which commits
 //     deterministically.
 package stm
@@ -23,7 +23,6 @@ package stm
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,9 +109,9 @@ type AbortError struct {
 	// so unbounded context-cancelled runs cannot accumulate memory.
 	Reasons []AbortReason
 	// Escalated reports whether the transaction had entered the irrevocable
-	// serializing mode before giving up (once the last pre-gate attempt
-	// finishes, only an explicit Restart or a context end can still abort an
-	// escalated transaction).
+	// serializing mode before giving up (escalation drains every other
+	// attempt first, so only an explicit Restart or a context end can still
+	// abort an escalated transaction).
 	Escalated bool
 	// Cause is the context error when the run was cancelled, nil when the
 	// attempt budget was exhausted.
@@ -211,27 +210,30 @@ type runCfg struct {
 	maxAttempts int             // 0 = unbounded
 	done        <-chan struct{} // non-nil under AtomicallyCtx
 	ctx         context.Context // non-nil under AtomicallyCtx; supplies Cause
-	privatize   bool            // commit through the engine's privatizing variant
+	privatize   bool            // follow the commit with the engine's privatization barrier
 	batchUnits  int             // logical transactions folded into this commit (AtomicallyBatch)
 }
 
 // run is the retry engine shared by Atomically, AtomicallyCtx, and
-// TryAtomically: gated attempts, reason collection, cancellation-aware
+// TryAtomically: announced attempts, reason collection, cancellation-aware
 // backoff, and the starvation escalation. The unbounded no-fault path must
-// stay hot: per attempt it adds one load of the read-mostly escalator gate
-// and predictable branches — everything else is behind `bounded` or the
-// escalation threshold. The whole call is allocation-free after descriptor
-// warm-up: the descriptor comes from the pool, the reason log lives in the
-// descriptor's fixed buffer, and the only remaining allocation is the
-// *AbortError built on the bounded failure path.
+// stay hot: a one-attempt call writes its descriptor word twice (claim,
+// clear) and loads the read-mostly escalator gate and engine slot once —
+// everything else is behind `bounded` or the escalation threshold. The whole
+// call is allocation-free after descriptor warm-up: the descriptor comes off
+// the free list, the reason log lives in the descriptor's fixed buffer, and
+// the only remaining allocation is the *AbortError built on the bounded
+// failure path.
 func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
-	tx := rt.txPool.Get().(*Tx)
+	// The claim announces the call and its first attempt: the pinned epoch
+	// keeps every *Var the body captures out of the recycler until the
+	// release clears the word (on user panics too), and the attempt bit
+	// makes engine switches and escalations wait the attempt out.
+	tx, pinned := rt.acquireTx()
 	defer rt.releaseTx(tx)
-	// Pin the reclamation epoch for the whole call (every attempt included):
-	// any *Var pointer the body captures stays out of the recycler until the
-	// pin drops (core/epoch.go). LIFO defers run Exit before the pool return.
-	tx.pin.Enter()
-	defer tx.pin.Exit()
+	if slot := rt.cur.Load(); tx.slot != slot {
+		tx.rebind(slot)
+	}
 	if tx.epoch != nil {
 		tx.epoch.NewEpoch()
 	}
@@ -260,7 +262,6 @@ func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
 				return runErr(attempt, reasons, escalated, cfg)
 			}
 		}
-		entered := false
 		if !escalated {
 			// A log-write failure escalates immediately: the WAL is latched
 			// failed, so the retry would succeed anyway, but the irrevocable
@@ -269,34 +270,27 @@ func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
 			logFailed := attempt > 0 && tx.lastReason == core.ReasonLogFail
 			if logFailed || (escAfter > 0 && attempt >= escAfter) {
 				escalated = true
-				rt.esc.acquire()
-				if adaptive {
-					// An engine switch may have completed while this attempt
-					// queued for the escalator mutex; holding the mutex now
-					// blocks further switches, so a rebind here is final.
-					// Rebind before disarming: rebind re-arms the fault plan.
-					if slot := rt.cur.Load(); tx.slot != slot {
-						tx.rebind(slot)
-					}
+				rt.esc.mu.Lock()
+				rt.esc.quiesce(rt.descs)
+				// An engine switch may have completed while this call queued
+				// for the escalator mutex; holding the mutex now blocks
+				// further switches, so a rebind here is final. Rebind before
+				// disarming: rebind re-arms the fault plan.
+				if slot := rt.cur.Load(); tx.slot != slot {
+					tx.rebind(slot)
 				}
 				tx.impl.SetFaultPlan(nil) // irrevocable mode must not abort
 				tx.shard.CountEscalation()
-			} else if adaptive {
-				// Adaptive runtimes run the full switch protocol: bind, raise
-				// the active flag, re-check the gate and the binding.
-				if !rt.enterAttempt(tx, cfg.done) {
-					return runErr(attempt, reasons, escalated, cfg)
-				}
-				entered = true
-			} else if rt.esc.gate.Load() != 0 && !rt.esc.wait(cfg.done) {
-				// Cancelled while parked behind an active escalation.
+			} else if !rt.admit(tx, pinned, attempt == 0, cfg.done) {
 				return runErr(attempt, reasons, escalated, cfg)
 			}
 		}
 		committed, _ := rt.tryOnce(tx, fn, cfg)
-		if entered {
-			tx.active.Store(0)
-			rt.noteAttempt(tx)
+		if !escalated && !committed {
+			tx.word.Store(pinned) // no attempt runs across the backoff
+		}
+		if adaptive && !escalated {
+			rt.noteAttempt(tx, pinned)
 		}
 		if committed {
 			return nil
@@ -310,15 +304,40 @@ func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
 		}
 		if !escalated {
 			tx.backoff(attempt, cfg.done, &budget)
-		} else {
-			runtime.Gosched() // let the remaining disturbers finish
 		}
+	}
+}
+
+// admit is the attempt side of the quiesce protocol: announce the attempt
+// (the descriptor claim already did for the first), then check that no gate
+// is raised and the binding is current, else withdraw, park until the gate
+// drops, rebind and retry. Announce-then-check pairs with the escalator's
+// gate-then-drain: seq-cst atomics make at least one side see the other, so
+// no attempt slips past a drain or runs a superseded engine. It reports
+// false only when done fires while parked.
+func (rt *Runtime) admit(tx *Tx, pinned uint64, announced bool, done <-chan struct{}) bool {
+	for {
+		if !announced {
+			tx.word.Store(pinned | core.AttemptBit)
+		}
+		if rt.esc.gate.Load() == 0 && rt.cur.Load() == tx.slot {
+			return true
+		}
+		tx.word.Store(pinned)
+		if !rt.esc.wait(done) {
+			return false
+		}
+		if slot := rt.cur.Load(); tx.slot != slot {
+			tx.rebind(slot)
+		}
+		announced = false
 	}
 }
 
 // runErr builds the typed failure of a bounded run. The reason log is copied
 // out of the descriptor's buffer here — the descriptor is about to return to
-// the pool, and this failure path is the one place a bounded run allocates.
+// the free list, and this failure path is the one place a bounded run
+// allocates.
 func runErr(attempts int, reasons []AbortReason, escalated bool, cfg runCfg) *AbortError {
 	err := &AbortError{Attempts: attempts, Escalated: escalated}
 	if len(reasons) > 0 {
@@ -330,18 +349,15 @@ func runErr(attempts int, reasons []AbortReason, escalated bool, cfg runCfg) *Ab
 	return err
 }
 
-// escalator implements the serializing protocol of the irrevocable mode
-// without touching the fast path: normal attempts only LOAD the read-mostly
-// gate word (one predictable cache hit per attempt — no RMW, no shared-line
-// write). An escalating transaction serializes behind a mutex and raises
-// the gate; it does NOT wait for quiescence. Instead it relies on monotonic
-// draining: no attempt that observes the raised gate starts, so the set of
-// in-flight "disturber" attempts is finite and strictly shrinking — each
-// can abort the escalated transaction at most once (by committing) before
-// its own next attempt parks at the gate. After at most that many retries
-// the escalated transaction runs alone, and every backend then commits it
-// deterministically: there is nobody left to fail validation against, lock
-// an orec, or move a clock.
+// escalator is the serializing protocol of the irrevocable mode and of
+// engine switches. Normal attempts only LOAD its read-mostly gate word (one
+// predictable cache hit per attempt — no RMW, no shared-line write). A holder
+// of the mutex quiesces the runtime: it raises the gate, so no new attempt
+// is admitted, and drains the descriptor registry until every attempt that
+// was admitted before the gate has committed or aborted. It then runs alone
+// — an escalated transaction commits deterministically, with nobody left to
+// fail validation against, lock an orec, or move a clock; a switch flips the
+// engine with no attempt of the old engine overlapping one of the new.
 type escalator struct {
 	mu   sync.Mutex
 	gate atomic.Uint32
@@ -350,6 +366,7 @@ type escalator struct {
 // wait parks until the gate drops. It reports false only when done fires
 // while waiting.
 func (e *escalator) wait(done <-chan struct{}) bool {
+	var w core.Waiter
 	for e.gate.Load() != 0 {
 		if done != nil {
 			select {
@@ -358,15 +375,16 @@ func (e *escalator) wait(done <-chan struct{}) bool {
 			default:
 			}
 		}
-		runtime.Gosched()
+		w.Wait()
 	}
 	return true
 }
 
-// acquire serializes this escalation and raises the gate.
-func (e *escalator) acquire() {
-	e.mu.Lock()
+// quiesce raises the gate and waits out every admitted attempt of descs.
+// The caller holds mu and must not itself be announcing an attempt.
+func (e *escalator) quiesce(descs *core.Registry) {
 	e.gate.Store(1)
+	descs.Drain(func(v uint64) bool { return v&core.AttemptBit == 0 })
 }
 
 // release lowers the gate and lets normal attempts resume.

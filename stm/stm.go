@@ -191,16 +191,26 @@ type Runtime struct {
 	engMu   sync.Mutex
 	engines [numAlgorithms]core.Engine
 
-	// descs lists every descriptor ever built for this runtime, so an engine
-	// switch can wait for the in-flight attempts to drain.
-	descMu sync.Mutex
-	descs  []*Tx
+	// descs holds each descriptor's announce word: its reclamation epoch and
+	// attempt bit (core/epoch.go). Switches and escalations drain it; the
+	// reclaimer scans it until unwatch, which only the runtime references,
+	// is finalized. (The runtime itself sits in a cycle with its
+	// descriptors, so a finalizer on it would never run.)
+	descs   *core.Registry
+	unwatch *epochWatch
+	// spare and free are the descriptor free list: spare, the first
+	// descriptor released, is claimed by a CAS on its idle word, so an
+	// uncontended call never takes freeMu; free stacks the other idle
+	// descriptors. Descriptors are built only when none is idle and never
+	// dropped, so their number — and the words they register here and in
+	// every engine — stays at the peak number of concurrent calls.
+	spare  atomic.Pointer[Tx]
+	freeMu sync.Mutex
+	free   []*Tx
 
-	// adapt is the online-switching controller; nil on fixed runtimes, which
-	// is also the fast-path discriminator in the retry loop.
+	// adapt is the online-switching controller; nil on fixed runtimes.
 	adapt *adaptiveState
 
-	txPool     sync.Pool
 	yieldEvery int
 	esc        escalator // quiesce protocol of the irrevocable mode and of engine switches
 
@@ -275,9 +285,16 @@ func newRuntime(algo Algorithm, nshards int, logger shard.Logger, logFacts bool)
 	} else {
 		rt.cur.Store(&engineSlot{algo: algo, eng: rt.engineFor(algo)})
 	}
-	rt.txPool.New = func() any { return rt.newTx() }
+	rt.descs = new(core.Registry)
+	core.WatchEpochs(rt.descs)
+	rt.unwatch = &epochWatch{rt.descs}
+	runtime.SetFinalizer(rt.unwatch, func(w *epochWatch) { core.UnwatchEpochs(w.descs) })
 	return rt
 }
+
+// epochWatch carries a runtime's descriptor registry to the finalizer that
+// stops the reclaimer scanning it.
+type epochWatch struct{ descs *core.Registry }
 
 // engineFor returns this runtime's instance of the algorithm's engine,
 // creating it on first use. Lazy creation matters for Adaptive: engines the
@@ -318,7 +335,7 @@ func (rt *Runtime) txConfig() core.TxConfig {
 
 // newTx builds a fresh transaction descriptor bound to the current engine.
 // Each descriptor registers its own stats shard: descriptors are owned by
-// one goroutine at a time (sync.Pool), so commit/abort folding stays on
+// one goroutine at a time (the free list), so commit/abort folding stays on
 // thread-private cache lines instead of contending on global counters.
 // RNG seeds come from uniqueSeed, not the raw clock: descriptors allocated
 // in the same nanosecond must not share backoff or spurious-abort streams.
@@ -329,13 +346,33 @@ func (rt *Runtime) newTx() *Tx {
 		rt:    rt,
 		shard: rt.stats.Register(),
 		rng:   rand.New(rand.NewPCG(uint64(uniqueSeed()), uint64(uniqueSeed()))),
-		pin:   core.RegisterEpochPin(),
+		word:  rt.descs.Register(),
 	}
 	tx.rebind(rt.cur.Load())
-	rt.descMu.Lock()
-	rt.descs = append(rt.descs, tx)
-	rt.descMu.Unlock()
 	return tx
+}
+
+// acquireTx claims an idle descriptor, building one only when none is
+// idle, and announces the call on its word: the pinned reclamation epoch
+// with the attempt bit raised. It returns the bare pinned epoch word.
+func (rt *Runtime) acquireTx() (*Tx, uint64) {
+	if tx := rt.spare.Load(); tx != nil {
+		if pinned, ok := tx.word.PinEpoch(core.AttemptBit); ok {
+			return tx, pinned
+		}
+	}
+	var tx *Tx
+	rt.freeMu.Lock()
+	if n := len(rt.free); n > 0 {
+		tx = rt.free[n-1]
+		rt.free = rt.free[:n-1]
+	}
+	rt.freeMu.Unlock()
+	if tx == nil {
+		tx = rt.newTx()
+	}
+	pinned, _ := tx.word.PinEpoch(core.AttemptBit) // idle and ours alone
+	return tx, pinned
 }
 
 // epochResetter is the optional TxImpl interface for per-call (as opposed to
@@ -345,12 +382,17 @@ func (rt *Runtime) newTx() *Tx {
 // audit as a per-call dynamic type check on the hot path.
 type epochResetter interface{ NewEpoch() }
 
-// rebind points the descriptor at an engine slot, building a fresh
-// engine-level descriptor from it. Called at construction and whenever the
-// retry loop observes that an engine switch superseded the binding.
+// rebind points the descriptor at an engine slot, reusing the engine-level
+// descriptor it built for that engine before — so switching back and forth
+// registers no new snapshot words — and building one on the first visit.
+// Called at construction and whenever the retry loop observes that an
+// engine switch superseded the binding.
 func (tx *Tx) rebind(slot *engineSlot) {
 	tx.slot = slot
-	tx.impl = slot.eng.NewTx(tx.rt.txConfig())
+	if tx.impls[slot.algo] == nil {
+		tx.impls[slot.algo] = slot.eng.NewTx(tx.rt.txConfig())
+	}
+	tx.impl = tx.impls[slot.algo]
 	tx.epoch, _ = tx.impl.(epochResetter)
 	tx.priv, _ = tx.impl.(core.Privatizer)
 	tx.impl.SetFaultPlan(tx.rt.faultPlan)
@@ -364,15 +406,20 @@ func (tx *Tx) rebind(slot *engineSlot) {
 // memory.
 const poisonedReason = AbortReason(core.NumReasons)
 
-// releaseTx returns a descriptor to the pool, poisoning per-call state so
-// leaks between logically distinct transactions are detectable (the
-// descriptor-reuse fuzz test asserts no poison is ever observed).
+// releaseTx clears the call's announcement and returns the descriptor to
+// the free list, poisoning per-call state so leaks between logically
+// distinct transactions are detectable (the descriptor-reuse fuzz test
+// asserts no poison is ever observed). The clear frees the spare for the
+// next claimer, so it is the last touch of the spare.
 func (rt *Runtime) releaseTx(tx *Tx) {
-	if tx.active.Load() != 0 {
-		panic("stm: descriptor released with an attempt still active")
-	}
 	tx.lastReason = poisonedReason
-	rt.txPool.Put(tx)
+	tx.word.Clear()
+	if s := rt.spare.Load(); s == tx || (s == nil && rt.spare.CompareAndSwap(nil, tx)) {
+		return
+	}
+	rt.freeMu.Lock()
+	rt.free = append(rt.free, tx)
+	rt.freeMu.Unlock()
 }
 
 // Algorithm reports which algorithm the runtime was created with (Adaptive
@@ -534,13 +581,7 @@ func (rt *Runtime) tryOnce(tx *Tx, fn func(tx *Tx), cfg runCfg) (committed bool,
 			// re-run and whatever the hooks guard would otherwise leak.
 			tx.runAbortHooks()
 			if !core.IsAbort(r) {
-				// A user panic unwinds straight past the retry loop's normal
-				// active-flag clear; drop the flag here or the descriptor
-				// would re-enter the pool still marked in-flight (which an
-				// adaptive drain would wait on forever, and which releaseTx
-				// now rejects).
-				tx.active.Store(0)
-				panic(r)
+				panic(r) // releaseTx clears the word, withdrawing the attempt
 			}
 			reason, _ = core.ReasonOf(r)
 			tx.lastReason = reason
@@ -550,10 +591,9 @@ func (rt *Runtime) tryOnce(tx *Tx, fn func(tx *Tx), cfg runCfg) (committed bool,
 	tx.clearAbortHooks()
 	tx.impl.Start()
 	fn(tx)
+	tx.impl.Commit()
 	if cfg.privatize && tx.priv != nil {
-		tx.priv.CommitPrivatize()
-	} else {
-		tx.impl.Commit()
+		tx.priv.PrivatizeBarrier()
 	}
 	if cfg.batchUnits > 0 {
 		noteBatch(tx, cfg.batchUnits)
@@ -576,11 +616,12 @@ func Run[T any](rt *Runtime, fn func(tx *Tx) T) T {
 type Tx struct {
 	rt         *Runtime
 	impl       core.TxImpl
-	epoch      epochResetter    // impl's cached NewEpoch assertion; nil if absent
-	priv       core.Privatizer  // impl's cached privatizing-commit assertion
-	slot       *engineSlot      // the engine binding impl was built from
-	pin        *core.EpochPin   // reclamation-epoch pin (held across each run)
-	shard      *core.StatsShard // this descriptor's slice of the runtime counters
+	epoch      epochResetter              // impl's cached NewEpoch assertion; nil if absent
+	priv       core.Privatizer            // impl's cached privatization-barrier assertion
+	slot       *engineSlot                // the engine binding impl was built from
+	impls      [numAlgorithms]core.TxImpl // engine-level descriptors by engine, built on first bind
+	word       *core.Announce             // epoch and attempt announcement (runtime descs registry)
+	shard      *core.StatsShard           // this descriptor's slice of the runtime counters
 	rng        *rand.Rand
 	ops        int
 	lastReason AbortReason // reason of the most recent aborted attempt
@@ -590,10 +631,6 @@ type Tx struct {
 	// fail (runErr copies the buffer into the returned AbortError).
 	reasonBuf [abortReasonCap]AbortReason
 
-	// active is 1 while an attempt is executing between the switch-gate
-	// check and its commit/abort; the engine-switch drain waits on it. Only
-	// adaptive runtimes use it (see Runtime.enterAttempt).
-	active atomic.Uint32
 	// sinceAdapt counts attempts since this descriptor last triggered a
 	// policy evaluation.
 	sinceAdapt int
