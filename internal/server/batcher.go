@@ -35,13 +35,6 @@ import (
 	"semstm/stm"
 )
 
-// pending is one queued request plus its demultiplexed outcome.
-type pending struct {
-	req  *Request
-	res  Result
-	done bool // guarded by the batcher mutex
-}
-
 // shardBatcher coalesces one shard's requests. Leadership mirrors the
 // walwriter: the first submitter to find no leader takes the role, drains a
 // window, executes it, then broadcasts; woken submitters whose requests are
@@ -53,19 +46,20 @@ type shardBatcher struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*pending
+	queue   []*Request
 	leading bool
 
 	// Leader-only scratch (a single leader per shard at a time): the carved
-	// window, its in-place members, the merged-inc fold, and the
-	// conflict-fallout set.
-	window   []*pending
-	inPlace  []*pending
-	fallout  []*pending
+	// window, its in-place members, the merged-inc fold, the
+	// conflict-fallout set, and the batch transaction's body.
+	window   []*Request
+	inPlace  []*Request
+	fallout  []*Request
 	incVars  []*stm.Var
 	incIdx   map[*stm.Var]int
 	incDelta []int64
 	written  map[*stm.Var]struct{}
+	body     func(tx *stm.Tx)
 }
 
 func newShardBatcher(s *Store, maxBatch int) *shardBatcher {
@@ -76,25 +70,26 @@ func newShardBatcher(s *Store, maxBatch int) *shardBatcher {
 		written:  make(map[*stm.Var]struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
+	b.body = b.execWindow
 	return b
 }
 
 // submit enqueues the request and blocks until its outcome is demultiplexed
-// back, leading windows whenever no other submitter is.
-func (b *shardBatcher) submit(r *Request) Result {
-	p := &pending{req: r}
+// back into r.res, leading windows whenever no other submitter is.
+func (b *shardBatcher) submit(r *Request) {
 	b.mu.Lock()
-	b.queue = append(b.queue, p)
+	r.done = false
+	b.queue = append(b.queue, r)
 	for {
-		if p.done {
+		if r.done {
 			b.mu.Unlock()
-			return p.res
+			return
 		}
 		if !b.leading {
 			b.leading = true
 			// Formation yield: let submitters already past genRequest enqueue
 			// before the carve. Leadership is held, so nobody else can carve
-			// underneath us, and p cannot complete. Repeat while the queue is
+			// underneath us, and r cannot complete. Repeat while the queue is
 			// still growing and short of a full window.
 			for len(b.queue) < b.maxBatch {
 				before := len(b.queue)
@@ -140,8 +135,7 @@ func (b *shardBatcher) carve() {
 	if n > b.maxBatch {
 		n = b.maxBatch
 	}
-	for _, p := range b.queue[:n] {
-		r := p.req
+	for _, r := range b.queue[:n] {
 		if r.incOnly && !r.doom {
 			// Mergeable: fold each delta into the per-cell accumulator.
 			for i := range r.Ops {
@@ -157,7 +151,7 @@ func (b *shardBatcher) carve() {
 				}
 				b.written[v] = struct{}{}
 			}
-			b.window = append(b.window, p)
+			b.window = append(b.window, r)
 			continue
 		}
 		// In-place: joins unless a cell it touches was already written by
@@ -170,7 +164,7 @@ func (b *shardBatcher) carve() {
 			}
 		}
 		if conflict {
-			b.fallout = append(b.fallout, p)
+			b.fallout = append(b.fallout, r)
 			continue
 		}
 		for i := range r.Ops {
@@ -178,8 +172,8 @@ func (b *shardBatcher) carve() {
 				b.written[r.vars[i]] = struct{}{}
 			}
 		}
-		b.window = append(b.window, p)
-		b.inPlace = append(b.inPlace, p)
+		b.window = append(b.window, r)
+		b.inPlace = append(b.inPlace, r)
 	}
 	// Pop the carved prefix (window members and fallout alike left the
 	// queue; fallout runs solo under this leader).
@@ -199,31 +193,34 @@ func (b *shardBatcher) runWindow() {
 		return
 	}
 	m := b.s.metrics
-	err := b.s.rt.AtomicallyBatch(len(w), func(tx *stm.Tx) {
-		for _, p := range b.inPlace {
-			p.req.execute(tx, &p.res)
-		}
-		for i, v := range b.incVars {
-			tx.Inc(v, b.incDelta[i])
-		}
-	})
-	if err != nil {
+	if err := b.s.rt.AtomicallyBatch(len(w), b.body); err != nil {
 		// The window is doomed as a unit; its members may not be. Tear it
 		// apart — each request gets its own bounded transaction, so only a
 		// request that is itself doomed reports an abort.
 		m.soloAbort.Add(uint64(len(w)))
-		for _, p := range w {
-			b.s.solo(p.req, &p.res)
+		for _, r := range w {
+			b.s.solo(r)
 		}
 		return
 	}
 	m.noteBatch(len(w))
-	for _, p := range w {
-		p.res.Committed = true
-		if p.req.incOnly && !p.req.doom {
-			p.res.GuardOK = true
+	for _, r := range w {
+		r.res.Committed = true
+		if r.incOnly && !r.doom {
+			r.res.GuardOK = true
 		}
-		m.noteOutcome(&p.res)
+		m.noteOutcome(&r.res)
+	}
+}
+
+// execWindow is the batch transaction's body: the in-place members back to
+// back, then the merged increments.
+func (b *shardBatcher) execWindow(tx *stm.Tx) {
+	for _, r := range b.inPlace {
+		r.execute(tx, &r.res)
+	}
+	for i, v := range b.incVars {
+		tx.Inc(v, b.incDelta[i])
 	}
 }
 
@@ -234,7 +231,7 @@ func (b *shardBatcher) runFallout() {
 		return
 	}
 	b.s.metrics.soloConflict.Add(uint64(len(b.fallout)))
-	for _, p := range b.fallout {
-		b.s.solo(p.req, &p.res)
+	for _, r := range b.fallout {
+		b.s.solo(r)
 	}
 }

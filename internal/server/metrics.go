@@ -20,6 +20,7 @@ type Metrics struct {
 	committed   atomic.Uint64 // committed with all guards held
 	guardFailed atomic.Uint64 // committed empty: a cmp guard failed
 	aborted     atomic.Uint64 // attempt budget exhausted
+	badRequests atomic.Uint64 // rejected before execution: malformed or invalid
 
 	batches   atomic.Uint64 // committed batch windows
 	batched   atomic.Uint64 // requests committed through a window
@@ -70,6 +71,9 @@ func (m *Metrics) Committed() uint64 { return m.committed.Load() }
 // Aborted reports requests whose attempt budget exhausted.
 func (m *Metrics) Aborted() uint64 { return m.aborted.Load() }
 
+// BadRequests reports requests rejected before execution.
+func (m *Metrics) BadRequests() uint64 { return m.badRequests.Load() }
+
 // Batches reports committed batch windows.
 func (m *Metrics) Batches() uint64 { return m.batches.Load() }
 
@@ -109,6 +113,8 @@ func (s *Store) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "semstm_requests_total{outcome=\"committed\"} %d\n", m.committed.Load())
 	fmt.Fprintf(w, "semstm_requests_total{outcome=\"guard_failed\"} %d\n", m.guardFailed.Load())
 	fmt.Fprintf(w, "semstm_requests_total{outcome=\"aborted\"} %d\n", m.aborted.Load())
+	fmt.Fprintf(w, "# HELP semstm_bad_requests_total Requests rejected before execution: malformed lines, unknown ops or comparisons, empty requests.\n# TYPE semstm_bad_requests_total counter\n")
+	fmt.Fprintf(w, "semstm_bad_requests_total %d\n", m.badRequests.Load())
 
 	fmt.Fprintf(w, "# HELP semstm_batch_size Committed batch window sizes.\n# TYPE semstm_batch_size histogram\n")
 	cum := uint64(0)

@@ -88,7 +88,7 @@ func TestIncMergingWindow(t *testing.T) {
 	b := s.batchers[shard]
 	before := s.rt.Stats().Commits
 
-	var ps []*pending
+	var ps []*Request
 	b.mu.Lock()
 	for i := 0; i < members; i++ {
 		r := incReq(key, 3)
@@ -96,9 +96,8 @@ func TestIncMergingWindow(t *testing.T) {
 			b.mu.Unlock()
 			t.Fatalf("prepare: %v", err)
 		}
-		p := &pending{req: r}
-		ps = append(ps, p)
-		b.queue = append(b.queue, p)
+		ps = append(ps, r)
+		b.queue = append(b.queue, r)
 	}
 	b.carve()
 	b.mu.Unlock()
@@ -153,16 +152,14 @@ func TestDoomedRequestAbortsAlone(t *testing.T) {
 			mates := []*Request{incReq(key, 10), incReq(key, 100),
 				{Ops: []Op{{Code: OpCmp, Key: key2, Cmp: stm.OpGTE, Val: 0}, {Code: OpWrite, Key: key2, Val: 7}}}}
 
-			var ps []*pending
+			ps := append([]*Request{doomed}, mates...)
 			b.mu.Lock()
-			for _, r := range append([]*Request{doomed}, mates...) {
+			for _, r := range ps {
 				if err := s.prepare(r); err != nil {
 					b.mu.Unlock()
 					t.Fatalf("prepare: %v", err)
 				}
-				p := &pending{req: r}
-				ps = append(ps, p)
-				b.queue = append(b.queue, p)
+				b.queue = append(b.queue, r)
 			}
 			b.carve()
 			b.mu.Unlock()
@@ -201,16 +198,14 @@ func TestConflictFallout(t *testing.T) {
 	first := &Request{Ops: []Op{{Code: OpCmp, Key: key, Cmp: stm.OpGTE, Val: 0}, {Code: OpWrite, Key: key, Val: 1}}}
 	second := &Request{Ops: []Op{{Code: OpCmp, Key: key, Cmp: stm.OpGTE, Val: 0}, {Code: OpWrite, Key: key, Val: 2}}}
 
-	var ps []*pending
+	ps := []*Request{first, second}
 	b.mu.Lock()
-	for _, r := range []*Request{first, second} {
+	for _, r := range ps {
 		if err := s.prepare(r); err != nil {
 			b.mu.Unlock()
 			t.Fatalf("prepare: %v", err)
 		}
-		p := &pending{req: r}
-		ps = append(ps, p)
-		b.queue = append(b.queue, p)
+		b.queue = append(b.queue, r)
 	}
 	b.carve()
 	b.mu.Unlock()

@@ -61,39 +61,54 @@ func (c OpCode) String() string {
 
 // ParseOpCode maps the wire spelling back to the code.
 func ParseOpCode(s string) (OpCode, error) {
-	switch s {
-	case "read":
-		return OpRead, nil
-	case "write":
-		return OpWrite, nil
-	case "inc":
-		return OpInc, nil
-	case "cmp":
-		return OpCmp, nil
-	default:
-		return 0, fmt.Errorf("server: unknown op %q", s)
+	if c, ok := lookupOpCode(s); ok {
+		return c, nil
 	}
+	return 0, fmt.Errorf("server: unknown op %q", s)
+}
+
+// lookupOpCode is ParseOpCode's table, shared with the wire decoder, which
+// looks names up as bytes without allocating.
+func lookupOpCode[S string | []byte](s S) (OpCode, bool) {
+	switch string(s) {
+	case "read":
+		return OpRead, true
+	case "write":
+		return OpWrite, true
+	case "inc":
+		return OpInc, true
+	case "cmp":
+		return OpCmp, true
+	}
+	return 0, false
 }
 
 // ParseCmp maps a wire comparison spelling ("eq", "lt", ...) to the semantic
 // operator.
 func ParseCmp(s string) (stm.Op, error) {
-	switch s {
-	case "eq":
-		return stm.OpEQ, nil
-	case "neq":
-		return stm.OpNEQ, nil
-	case "gt":
-		return stm.OpGT, nil
-	case "gte":
-		return stm.OpGTE, nil
-	case "lt":
-		return stm.OpLT, nil
-	case "lte":
-		return stm.OpLTE, nil
-	default:
-		return 0, fmt.Errorf("server: unknown comparison %q", s)
+	if op, ok := lookupCmp(s); ok {
+		return op, nil
 	}
+	return 0, fmt.Errorf("server: unknown comparison %q", s)
+}
+
+// lookupCmp is ParseCmp's table, shared with the wire decoder.
+func lookupCmp[S string | []byte](s S) (stm.Op, bool) {
+	switch string(s) {
+	case "eq":
+		return stm.OpEQ, true
+	case "neq":
+		return stm.OpNEQ, true
+	case "gt":
+		return stm.OpGT, true
+	case "gte":
+		return stm.OpGTE, true
+	case "lt":
+		return stm.OpLT, true
+	case "lte":
+		return stm.OpLTE, true
+	}
+	return 0, false
 }
 
 // Op is one operation of a request.
@@ -125,6 +140,16 @@ type Request struct {
 	vars    []*stm.Var
 	shard   int
 	incOnly bool
+
+	// The outcome of the current execution, written by whoever executes the
+	// request (its submitter solo, or its window's leader); done reports it
+	// demultiplexed and is guarded by the shard batcher's mutex. Keeping
+	// both here lets a connection that reuses its Request reuse the batcher
+	// record and the Reads buffer too.
+	res  Result
+	done bool
+	// soloBody is the solo path's transaction body, bound once per Request.
+	soloBody func(tx *stm.Tx)
 }
 
 // Doom marks the request as permanently aborting (testing hook).
@@ -391,29 +416,42 @@ const soloAttempts = 32
 // Submit executes one request and returns its outcome: through the shard
 // batcher when batching is on and the request is single-shard, else solo.
 // Submit is safe for concurrent use; it blocks until the request's outcome
-// is known.
+// is known. The returned Result owns its Reads: a later Submit of the same
+// Request does not overwrite them.
 func (s *Store) Submit(r *Request) Result {
-	var res Result
+	s.run(r)
+	res := r.res
+	r.res = Result{}
+	return res
+}
+
+// run executes the request and leaves its outcome in r.res, reusing the
+// Reads buffer of r's previous execution. This is Submit without the copy
+// out, for a caller that consumes the outcome before reusing r.
+func (s *Store) run(r *Request) {
+	r.res = Result{Reads: r.res.Reads[:0]}
 	if err := s.prepare(r); err != nil {
-		res.Err = err
-		return res
+		s.metrics.badRequests.Add(1)
+		r.res.Err = err
+		return
 	}
 	if s.batching && r.shard >= 0 {
-		return s.batchers[r.shard].submit(r)
+		s.batchers[r.shard].submit(r)
+		return
 	}
 	if s.batching && r.shard < 0 {
 		s.metrics.soloCross.Add(1)
 	}
-	s.solo(r, &res)
-	return res
+	s.solo(r)
 }
 
 // solo is the per-request execution path: one bounded transaction.
-func (s *Store) solo(r *Request, res *Result) {
-	err := s.rt.TryAtomically(func(tx *stm.Tx) {
-		r.execute(tx, res)
-	}, stm.MaxAttempts(soloAttempts))
-	res.Committed = err == nil
-	res.Err = err
-	s.metrics.noteOutcome(res)
+func (s *Store) solo(r *Request) {
+	if r.soloBody == nil {
+		r.soloBody = func(tx *stm.Tx) { r.execute(tx, &r.res) }
+	}
+	err := s.rt.TryAtomically(r.soloBody, stm.MaxAttempts(soloAttempts))
+	r.res.Committed = err == nil
+	r.res.Err = err
+	s.metrics.noteOutcome(&r.res)
 }

@@ -11,16 +11,41 @@
 // "ok" is commitment, "guard" that every cmp held (writes applied); reads
 // come back in op order. Requests on one connection execute in order; open
 // many connections for concurrency (the loadgen simulates thousands).
+//
+// Grammar. A request is one JSON object per line, at most 1 MiB: "id" a
+// non-negative integer, "ops" an array of objects with "op" (read, write,
+// inc, cmp), "ks" (keyspace, default "default"), "key" a non-negative
+// integer, "val" an integer, and "cmp" (eq, neq, gt, gte, lt, lte; cmp ops
+// only). Member names match case-insensitively, unknown members are
+// skipped, null leaves a member unset, and a repeated member name takes the
+// last value ("ops" included: a repeated array replaces the earlier one).
+// codec.go holds the decoder and the exact rules.
+//
+// Errors. A line that is not such an object (bad JSON, a wrongly typed
+// value) gets `{"id":0,...,"err":"bad request: ..."}`; an unknown op or
+// comparison, or an empty request, gets the request's id and the server's
+// error. A line over 1 MiB gets the id-0 reply "bad request: line exceeds 1
+// MiB" and the connection closes. Every rejection counts in
+// semstm_bad_requests_total.
+//
+// Allocation. A connection decodes every line into one reused Request,
+// runs it through Store.run (which also reuses the batcher's record and the
+// Reads buffer), and appends the response to one reused buffer: a
+// well-formed request allocates nothing on the server once the connection
+// and the keys it touches are warm.
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"semstm/stm"
 )
@@ -47,25 +72,6 @@ type WireResponse struct {
 	Guard bool    `json:"guard"`
 	Reads []int64 `json:"reads,omitempty"`
 	Err   string  `json:"err,omitempty"`
-}
-
-// decode translates a wire request into an executable Request.
-func (wr *WireRequest) decode() (*Request, error) {
-	r := &Request{Ops: make([]Op, len(wr.Ops))}
-	for i, wo := range wr.Ops {
-		code, err := ParseOpCode(wo.Op)
-		if err != nil {
-			return nil, err
-		}
-		op := Op{Code: code, Ks: wo.Ks, Key: wo.Key, Val: wo.Val}
-		if code == OpCmp {
-			if op.Cmp, err = ParseCmp(wo.Cmp); err != nil {
-				return nil, err
-			}
-		}
-		r.Ops[i] = op
-	}
-	return r, nil
 }
 
 // cmpName spells a semantic operator as the wire protocol does.
@@ -168,6 +174,41 @@ func (s *Server) acceptLoop() {
 // maxLine bounds one request line (1 MiB — thousands of ops).
 const maxLine = 1 << 20
 
+// maxKeptOps bounds the ops a connection keeps buffers for between lines;
+// a larger request's buffers are dropped once it is answered.
+const maxKeptOps = 1024
+
+// wireConn is one connection's reused state: the decoder, the Request every
+// line decodes into, and the output buffer.
+type wireConn struct {
+	store *Store
+	dec   requestDecoder
+	req   Request
+	out   []byte
+}
+
+// serveLine executes one request line and leaves its response line in
+// c.out.
+func (c *wireConn) serveLine(line []byte) {
+	id, err := c.dec.decode(line, &c.req)
+	resp := WireResponse{ID: id}
+	if err != nil {
+		c.store.metrics.badRequests.Add(1)
+		resp.Err = err.Error()
+	} else {
+		c.store.run(&c.req)
+		res := &c.req.res
+		resp.OK, resp.Guard, resp.Reads = res.Committed, res.GuardOK, res.Reads
+		if res.Err != nil {
+			resp.Err = res.Err.Error()
+		}
+	}
+	c.out = appendResponse(c.out[:0], &resp)
+	if cap(c.req.Ops) > maxKeptOps {
+		c.req = Request{}
+	}
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -178,38 +219,37 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	in := bufio.NewScanner(conn)
 	in.Buffer(make([]byte, 4096), maxLine)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
+	c := &wireConn{store: s.store}
 	for in.Scan() {
 		line := in.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var wr WireRequest
-		resp := WireResponse{}
-		if err := json.Unmarshal(line, &wr); err != nil {
-			resp.Err = fmt.Sprintf("bad request: %v", err)
-		} else {
-			resp.ID = wr.ID
-			req, err := wr.decode()
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				res := s.store.Submit(req)
-				resp.OK = res.Committed
-				resp.Guard = res.GuardOK
-				resp.Reads = res.Reads
-				if res.Err != nil {
-					resp.Err = res.Err.Error()
-				}
-			}
-		}
-		if err := enc.Encode(&resp); err != nil {
+		c.serveLine(line)
+		if _, err := conn.Write(c.out); err != nil {
 			return
 		}
-		if err := out.Flush(); err != nil {
+	}
+	if errors.Is(in.Err(), bufio.ErrTooLong) {
+		// Read the rest of the line (up to another maxLine, for at most a
+		// second) before replying, so that closing with its bytes unread
+		// does not reset the connection under the reply.
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		discardLine(conn, maxLine)
+		s.store.metrics.badRequests.Add(1)
+		conn.Write(appendResponse(c.out[:0], &WireResponse{Err: "bad request: line exceeds 1 MiB"}))
+	}
+}
+
+// discardLine reads from r until a newline, an error, or limit bytes.
+func discardLine(r io.Reader, limit int) {
+	buf := make([]byte, 4096)
+	for limit > 0 {
+		n, err := r.Read(buf)
+		if bytes.IndexByte(buf[:n], '\n') >= 0 || err != nil {
 			return
 		}
+		limit -= n
 	}
 }
 

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -139,5 +142,103 @@ func TestRunLoadInProcess(t *testing.T) {
 		if res.RequestsPerSec <= 0 {
 			t.Fatalf("%s: rate = %v", wl, res.RequestsPerSec)
 		}
+	}
+}
+
+// rawConn sends hand-written lines to a server and reads its replies.
+type rawConn struct {
+	conn net.Conn
+	in   *bufio.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{conn: conn, in: bufio.NewReader(conn)}
+}
+
+// roundTrip writes line plus a newline and returns the decoded reply.
+func (c *rawConn) roundTrip(t *testing.T, line []byte) WireResponse {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.conn.Write(append(line, '\n'))
+		errc <- err
+	}()
+	reply, err := c.in.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("read reply: %v (reply so far %q)", err, reply)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var resp WireResponse
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		t.Fatalf("reply %q: %v", reply, err)
+	}
+	return resp
+}
+
+// TestOversizedLineGetsReply sends a line over the 1 MiB bound and expects
+// an id-0 bad-request reply before the server closes the connection.
+func TestOversizedLineGetsReply(t *testing.T) {
+	s := volatileStore(t, stm.SNOrec, 4, true)
+	srv, err := Serve(s, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	c := dialRaw(t, srv.Addr())
+	if resp := c.roundTrip(t, []byte(`{"id":1,"ops":[{"op":"read","key":1}]}`)); !resp.OK {
+		t.Fatalf("read: %+v", resp)
+	}
+	line := []byte(`{"id":2,"ops":[` + strings.Repeat(`{"op":"read","key":1},`, maxLine/20) + `{"op":"read","key":1}]}`)
+	resp := c.roundTrip(t, line)
+	if resp.ID != 0 || resp.OK || resp.Err != "bad request: line exceeds 1 MiB" {
+		t.Fatalf("oversized line: %+v", resp)
+	}
+	if _, err := c.in.ReadByte(); err != io.EOF {
+		t.Fatalf("connection still open after an oversized line: err=%v", err)
+	}
+}
+
+// TestBadRequestsMetric checks that every kind of rejected request counts
+// in semstm_bad_requests_total: a malformed line, an unknown op, an empty
+// request and an oversized line.
+func TestBadRequestsMetric(t *testing.T) {
+	s := volatileStore(t, stm.SNOrec, 4, true)
+	srv, err := Serve(s, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	c := dialRaw(t, srv.Addr())
+	for _, tc := range []struct {
+		line   string
+		id     uint64
+		prefix string
+	}{
+		{`{"id":1,"ops":[`, 0, "bad request: "},
+		{`{"id":2,"ops":[{"op":"nope","key":1}]}`, 2, `server: unknown op "nope"`},
+		{`{"id":3,"ops":[]}`, 3, "server: empty request"},
+		{`{"id":4,` + strings.Repeat(" ", maxLine) + `"ops":[]}`, 0, "bad request: line exceeds 1 MiB"},
+	} {
+		resp := c.roundTrip(t, []byte(tc.line))
+		if resp.ID != tc.id || resp.OK || !strings.HasPrefix(resp.Err, tc.prefix) {
+			t.Fatalf("line %.40q: reply %+v, want id %d and error %q", tc.line, resp, tc.id, tc.prefix)
+		}
+	}
+	hr, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.MetricsAddr()))
+	if err != nil {
+		t.Fatalf("metrics scrape: %v", err)
+	}
+	body, _ := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if !strings.Contains(string(body), "\nsemstm_bad_requests_total 4\n") {
+		t.Fatalf("want semstm_bad_requests_total 4 in:\n%s", body)
 	}
 }

@@ -59,6 +59,10 @@
 #  14. the repo benchmark's own tests: perfbench/ is a separate Go module
 #      (outside `go test ./...`), so its correctness checks run here
 #      explicitly (~6s).
+#  15. the wire decoder fuzz, time-bounded: FuzzDecodeRequest mutates request
+#      lines from seeds written in internal/server/codec_test.go and checks
+#      the hand-written decoder against the encoding/json oracle kept there
+#      (10s; the seed lines alone already run in tier-1).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -133,5 +137,8 @@ go run ./cmd/semstm-bench -servegate -dur 300ms -reps 2
 
 echo "== repo benchmark tests (perfbench module) =="
 (cd perfbench && go test -count=1 .)
+
+echo "== wire decoder fuzz (FuzzDecodeRequest, 10s) =="
+go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/server
 
 echo "== ok =="

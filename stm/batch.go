@@ -37,18 +37,7 @@ const DefaultBatchAttempts = 4
 // carrying units logical requests. units is accounting only; the body is
 // responsible for actually executing every unit.
 func (rt *Runtime) AtomicallyBatch(units int, body func(tx *Tx), opts ...TryOption) error {
-	max := DefaultBatchAttempts
-	if len(opts) > 0 {
-		o := tryOpts{maxAttempts: max}
-		for _, opt := range opts {
-			opt(&o)
-		}
-		max = o.maxAttempts
-	}
-	if max < 1 {
-		max = 1
-	}
-	return rt.run(body, runCfg{maxAttempts: max, batchUnits: units})
+	return rt.run(body, runCfg{maxAttempts: maxAttempts(DefaultBatchAttempts, opts), batchUnits: units})
 }
 
 // noteBatch folds a committed batch's unit count into the engine-level

@@ -141,10 +141,9 @@ func (e *AbortError) Error() string {
 // errors.Is(err, context.DeadlineExceeded) work on cancelled runs.
 func (e *AbortError) Unwrap() error { return e.Cause }
 
-// TryOption configures a TryAtomically call.
-type TryOption func(*tryOpts)
-
-type tryOpts struct {
+// TryOption configures a TryAtomically call. It is a plain value, so that
+// passing one allocates nothing.
+type TryOption struct {
 	maxAttempts int
 }
 
@@ -154,7 +153,16 @@ const DefaultMaxAttempts = 64
 
 // MaxAttempts bounds a TryAtomically call to n attempts (n >= 1).
 func MaxAttempts(n int) TryOption {
-	return func(o *tryOpts) { o.maxAttempts = n }
+	return TryOption{maxAttempts: n}
+}
+
+// maxAttempts applies opts to the default budget def; the budget is at
+// least 1.
+func maxAttempts(def int, opts []TryOption) int {
+	for _, o := range opts {
+		def = o.maxAttempts
+	}
+	return max(def, 1)
 }
 
 // DefaultEscalateAfter is the consecutive-abort threshold at which a
@@ -175,20 +183,7 @@ const maxBackoffPerCall = 100 * time.Millisecond
 // exhausted. Escalation still applies if the budget exceeds the runtime's
 // EscalateAfter threshold.
 func (rt *Runtime) TryAtomically(fn func(tx *Tx), opts ...TryOption) error {
-	max := DefaultMaxAttempts
-	if len(opts) > 0 {
-		// &o escapes into the option funcs, so the struct is only built when
-		// options exist — the common zero-option call stays allocation-free.
-		o := tryOpts{maxAttempts: DefaultMaxAttempts}
-		for _, opt := range opts {
-			opt(&o)
-		}
-		max = o.maxAttempts
-	}
-	if max < 1 {
-		max = 1
-	}
-	return rt.run(fn, runCfg{maxAttempts: max})
+	return rt.run(fn, runCfg{maxAttempts: maxAttempts(DefaultMaxAttempts, opts)})
 }
 
 // AtomicallyCtx executes fn as one transaction, retrying on conflict until
